@@ -454,13 +454,49 @@ let bench_recovery pack ~interval =
         p_log_bytes = r.Repro_journal.Journal.r_bytes;
       })
 
+(* The store's footprint: the snapshot a checkpoint writes (and every
+   replica downloads) for the server benchmark's 8,000-node document, and
+   the median wall time of a checkpoint, fsyncs included. *)
+let journal_footprint_nodes = 8000
+let journal_footprint_seed = 7920
+let journal_footprint_checkpoints = 5
+
+type footprint = { f_nodes : int; f_snapshot_bytes : int; f_checkpoint_ms : float }
+
+let bench_footprint pack =
+  with_journal_base (fun base ->
+      let doc =
+        Docgen.generate ~seed:journal_footprint_seed
+          { Docgen.default_shape with target_nodes = journal_footprint_nodes }
+      in
+      let d = Repro_journal.Durable_session.create ~base (Core.Session.make pack doc) in
+      let times =
+        Array.init journal_footprint_checkpoints (fun _ ->
+            snd (time (fun () -> Repro_journal.Durable_session.checkpoint d)))
+      in
+      let bytes =
+        String.length
+          (Repro_journal.Journal.snapshot_bytes (Repro_journal.Durable_session.journal d))
+      in
+      Repro_journal.Durable_session.close d;
+      Array.sort compare times;
+      {
+        f_nodes = Tree.size doc;
+        f_snapshot_bytes = bytes;
+        f_checkpoint_ms = times.(journal_footprint_checkpoints / 2) *. 1000.0;
+      })
+
 let journal_json results =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n  \"benchmark\": \"journal\",\n  \"schemes\": [\n";
   List.iteri
-    (fun i (scheme, appends, recoveries) ->
+    (fun i (scheme, appends, recoveries, f) ->
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf (Printf.sprintf "    {\n      \"scheme\": %S,\n" scheme);
+      Buffer.add_string buf
+        (Printf.sprintf
+           "      \"footprint\": {\"nodes\": %d, \"snapshot_bytes\": %d, \"checkpoint_ms\": %.2f},\n"
+           f.f_nodes f.f_snapshot_bytes f.f_checkpoint_ms);
       Buffer.add_string buf "      \"append\": [";
       List.iteri
         (fun j a ->
@@ -489,8 +525,10 @@ let run_journal () =
   section "DURABILITY — journal append throughput and crash-recovery time";
   Printf.printf
     "%d update ops per append run; recovery replays the log tail left by a\n\
-     %d-op run under each auto-checkpoint interval.\n\n"
-    journal_append_ops journal_recovery_ops;
+     %d-op run under each auto-checkpoint interval; the snapshot footprint is\n\
+     that of a %d-node document (Docgen seed %d), checkpointed %d times.\n\n"
+    journal_append_ops journal_recovery_ops journal_footprint_nodes journal_footprint_seed
+    journal_footprint_checkpoints;
   let results =
     List.map
       (fun name ->
@@ -513,7 +551,12 @@ let run_journal () =
               "%-10s recover checkpoint-every=%-4d %5d record(s) %10.2f ms\n" name
               p.p_interval p.p_replayed p.p_recover_ms)
           recoveries;
-        (name, appends, recoveries))
+        let f = bench_footprint pack in
+        Printf.printf "%-10s snapshot %d nodes in %d bytes (%.1f B/node), checkpoint %.2f ms\n"
+          name f.f_nodes f.f_snapshot_bytes
+          (float_of_int f.f_snapshot_bytes /. float_of_int f.f_nodes)
+          f.f_checkpoint_ms;
+        (name, appends, recoveries, f))
       journal_schemes
   in
   write_json "BENCH_journal.json" (journal_json results)

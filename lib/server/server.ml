@@ -1459,6 +1459,9 @@ let checkpoint_doc t d =
               P.Checkpointed (Journal.epoch (journal_of d))
             | exception Io.Io_error { op; reason; _ } ->
               P.Err (P.Internal, op ^ ": " ^ reason)
+            (* anything else would escape [flush_cycle] and kill the
+               flusher, parking every later mutation reply for good *)
+            | exception e -> P.Err (P.Internal, "checkpoint: " ^ Printexc.to_string e)
         in
         List.iter (fun conn -> deliver t conn resp) waiters;
         (* the epoch advance covers everything parked before it *)

@@ -4,90 +4,82 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-let magic = "XLS1"
-let no_parent = 0xFFFFFFFF
+let magic = "XLS2"
 
-(* ---- little-endian primitives ------------------------------------ *)
+(* The fewest bytes a stored node can take: tag, child count, label bit
+   count, shared-prefix length and suffix length, one byte each. *)
+let min_node_bytes = 5
 
-let w8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+(* ---- writing ------------------------------------------------------ *)
 
-let w16 buf v =
-  w8 buf v;
-  w8 buf (v lsr 8)
+(* Unsigned LEB128: seven payload bits per byte, high bit set on all but
+   the last. *)
+let rec put_uint buf v =
+  if v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (v land 0x7F lor 0x80));
+    put_uint buf (v lsr 7)
+  end
 
-let w32 buf v =
-  w16 buf (v land 0xFFFF);
-  w16 buf ((v lsr 16) land 0xFFFF)
-
-let wstr16 buf s =
-  if String.length s > 0xFFFF then corrupt "string too long for the format";
-  w16 buf (String.length s);
+let put_string buf s =
+  put_uint buf (String.length s);
   Buffer.add_string buf s
 
-type cursor = { data : string; mutable pos : int; mutable section : string }
-(** [section] names what is being read, so truncation errors can say which
-    part of the store the data ran out under. *)
-
-let need c n =
-  if c.pos + n > String.length c.data then
-    corrupt "truncated store while reading the %s (byte %d of %d)" c.section c.pos
-      (String.length c.data)
-
-let r8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let r16 c =
-  let lo = r8 c in
-  lo lor (r8 c lsl 8)
-
-let r32 c =
-  let lo = r16 c in
-  lo lor (r16 c lsl 16)
-
-let rstr16 c =
-  let n = r16 c in
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
+let common_prefix a b =
+  let n = min (String.length a) (String.length b) in
+  let i = ref 0 in
+  while !i < n && String.unsafe_get a !i = String.unsafe_get b !i do
+    incr i
+  done;
+  !i
 
 (* ---- saving ------------------------------------------------------ *)
 
 let save session =
   let doc = session.Core.Session.doc in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  wstr16 buf session.Core.Session.scheme_name;
-  let nodes = Tree.preorder_array doc in
-  (* node id -> document position, for parent references *)
-  let position = Hashtbl.create (Array.length nodes) in
-  Array.iteri (fun i (n : Tree.node) -> Hashtbl.replace position n.id i) nodes;
-  w32 buf (Array.length nodes);
-  Array.iter
-    (fun (n : Tree.node) ->
-      w8 buf (match n.kind with Tree.Element -> 0 | Tree.Attribute -> 1);
-      w32 buf
-        (match Tree.parent n with
-        | Some p -> Hashtbl.find position p.id
-        | None -> no_parent);
-      wstr16 buf n.name;
-      (match n.value with
-      | None -> w8 buf 0
-      | Some v ->
-        w8 buf 1;
-        w32 buf (String.length v);
-        Buffer.add_string buf v);
-      let bytes, bits = session.Core.Session.label_encoded n in
-      w16 buf bits;
-      wstr16 buf bytes)
-    nodes;
-  let body = Buffer.contents buf in
-  let tail = Buffer.create 4 in
-  w32 tail (Int32.to_int (Repro_codes.Crc32.string body) land 0xFFFFFFFF);
-  body ^ Buffer.contents tail
+  (* One preorder pass writes the node records and collects the name
+     dictionary in order of first appearance. *)
+  let index = Hashtbl.create 16 and names = ref [] in
+  let name_index name =
+    match Hashtbl.find_opt index name with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length index in
+      Hashtbl.add index name i;
+      names := name :: !names;
+      i
+  in
+  let nodes = Buffer.create ((16 * Tree.size doc) + 64) in
+  let prev = ref "" in
+  let rec node (n : Tree.node) =
+    let kind = match n.kind with Tree.Element -> 0 | Tree.Attribute -> 2 in
+    let has_value = if n.value = None then 0 else 1 in
+    put_uint nodes ((name_index n.name lsl 2) lor kind lor has_value);
+    put_uint nodes (List.length n.children);
+    Option.iter (put_string nodes) n.value;
+    let bytes, bits = session.Core.Session.label_encoded n in
+    let shared = common_prefix !prev bytes in
+    put_uint nodes bits;
+    put_uint nodes shared;
+    put_uint nodes (String.length bytes - shared);
+    Buffer.add_substring nodes bytes shared (String.length bytes - shared);
+    prev := bytes;
+    List.iter node n.children
+  in
+  node (Tree.root doc);
+  let header = Buffer.create 256 in
+  Buffer.add_string header magic;
+  put_string header session.Core.Session.scheme_name;
+  put_uint header (Tree.size doc);
+  put_uint header (Hashtbl.length index);
+  List.iter (put_string header) (List.rev !names);
+  (* the output is allocated once, at its exact size *)
+  let h = Buffer.length header and n = Buffer.length nodes in
+  let out = Bytes.create (h + n + 4) in
+  Buffer.blit header 0 out 0 h;
+  Buffer.blit nodes 0 out h n;
+  Bytes.set_int32_le out (h + n) (Repro_codes.Crc32.bytes out 0 (h + n));
+  Bytes.unsafe_to_string out
 
 let save_file ?(io = Repro_io.Io.real) session path =
   let f = io.Repro_io.Io.open_file path Repro_io.Io.Trunc in
@@ -95,116 +87,156 @@ let save_file ?(io = Repro_io.Io.real) session path =
     ~finally:(fun () -> f.Repro_io.Io.f_close ())
     (fun () -> f.Repro_io.Io.f_write (save session))
 
-(* ---- loading ------------------------------------------------------ *)
+(* ---- reading ------------------------------------------------------ *)
 
-let is_truncation msg =
-  String.length msg >= 9 && String.sub msg 0 9 = "truncated"
+type cursor = { data : string; mutable pos : int; limit : int; mutable section : string }
+(** Reads stop at [limit], where the checksum starts. [section] names what
+    is being read, so truncation errors can say which part of the store
+    the data ran out under. *)
 
-type stored_node = {
-  s_kind : Tree.kind;
-  s_parent : int;
-  s_name : string;
-  s_value : string option;
-  s_label_bits : int;
-  s_label_bytes : string;
-}
+let truncated c =
+  corrupt "truncated store while reading the %s (byte %d of %d)" c.section c.pos c.limit
 
-let read_nodes c =
+let need c n = if n > c.limit - c.pos then truncated c
+
+let get_byte c =
+  need c 1;
+  let v = Char.code (String.unsafe_get c.data c.pos) in
+  c.pos <- c.pos + 1;
+  v
+
+let get_uint c =
+  let rec go shift acc =
+    let b = get_byte c in
+    (* past 62 payload bits the value no longer fits a non-negative int *)
+    if shift >= 56 && b > 0x3F then
+      corrupt "integer too large in the %s (byte %d)" c.section c.pos;
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b < 0x80 then acc else go (shift + 7) acc
+  in
+  go 0 0
+
+let get_string c =
+  let n = get_uint c in
+  need c n;
+  let s = String.sub c.data c.pos n in
+  c.pos <- c.pos + n;
+  s
+
+let is_truncation msg = String.starts_with ~prefix:"truncated" msg
+
+let read_scheme c =
+  c.section <- "scheme name";
+  get_string c
+
+(* The header after the scheme name and every node record. Every count,
+   index and length is checked against what the data can hold before
+   anything is allocated for it. Returns the root fragment and the labels
+   in document order. *)
+let read_tree c =
   c.section <- "node count";
-  let count = r32 c in
-  Array.init count (fun _ ->
-      c.section <- "node header";
-      let s_kind = match r8 c with 0 -> Tree.Element | 1 -> Tree.Attribute | k -> corrupt "bad node kind %d" k in
-      let s_parent = r32 c in
-      c.section <- "node name";
-      let s_name = rstr16 c in
-      c.section <- "node value";
-      let s_value =
-        match r8 c with
-        | 0 -> None
-        | 1 ->
-          let n = r32 c in
-          need c n;
-          let v = String.sub c.data c.pos n in
-          c.pos <- c.pos + n;
-          Some v
-        | f -> corrupt "bad value flag %d" f
-      in
-      c.section <- "node label";
-      let s_label_bits = r16 c in
-      let s_label_bytes = rstr16 c in
-      { s_kind; s_parent; s_name; s_value; s_label_bits; s_label_bytes })
+  let count = get_uint c in
+  if count = 0 then corrupt "store holds no nodes";
+  if count > (c.limit - c.pos) / min_node_bytes then truncated c;
+  c.section <- "name dictionary";
+  let n_names = get_uint c in
+  if n_names > count then corrupt "name dictionary holds %d names for %d nodes" n_names count;
+  need c n_names;
+  let names = Array.make n_names "" in
+  for i = 0 to n_names - 1 do
+    names.(i) <- get_string c
+  done;
+  let labels = Array.make count ("", 0) in
+  let read = ref 0 (* nodes read so far *)
+  and pending = ref 0 (* nodes promised by child counts, not read yet *)
+  and prev = ref "" in
+  let rec node () =
+    let i = !read in
+    incr read;
+    c.section <- "node tag";
+    let tag = get_uint c in
+    let name_index = tag lsr 2 in
+    if name_index >= n_names then
+      corrupt "name index %d outside the %d-name dictionary" name_index n_names;
+    let kind = if tag land 2 = 0 then Tree.Element else Tree.Attribute in
+    if i = 0 && kind = Tree.Attribute then corrupt "first node is not an element";
+    c.section <- "child count";
+    let kids = get_uint c in
+    if kids > count - !read - !pending then
+      corrupt "child count %d exceeds the %d nodes remaining" kids (count - !read - !pending);
+    if kind = Tree.Attribute && kids > 0 then corrupt "attribute with children";
+    pending := !pending + kids;
+    let value =
+      if tag land 1 = 0 then None
+      else begin
+        c.section <- "node value";
+        Some (get_string c)
+      end
+    in
+    c.section <- "node label";
+    let bits = get_uint c in
+    let shared = get_uint c in
+    if shared > String.length !prev then
+      corrupt "label shares %d bytes with a %d-byte previous label" shared
+        (String.length !prev);
+    let suffix = get_uint c in
+    need c suffix;
+    let label = Bytes.create (shared + suffix) in
+    Bytes.blit_string !prev 0 label 0 shared;
+    Bytes.blit_string c.data c.pos label shared suffix;
+    c.pos <- c.pos + suffix;
+    let label = Bytes.unsafe_to_string label in
+    prev := label;
+    labels.(i) <- (label, bits);
+    let children = ref [] in
+    for _ = 1 to kids do
+      decr pending;
+      children := node () :: !children
+    done;
+    let name = names.(name_index) in
+    match kind with
+    | Tree.Attribute -> Tree.attr name (Option.value value ~default:"")
+    | Tree.Element -> Tree.elt ?value name (List.rev !children)
+  in
+  let root = node () in
+  if !read <> count then corrupt "node count mismatch: %d declared, %d stored" count !read;
+  if c.pos <> c.limit then corrupt "trailing bytes after the node table";
+  (root, labels)
 
 (* ---- envelope ----------------------------------------------------- *)
 
-let body_cursor body = { data = body; pos = String.length magic; section = "scheme name" }
-
-let parse_body body =
-  let c = body_cursor body in
-  let _scheme = rstr16 c in
-  let _nodes = read_nodes c in
-  if c.pos <> String.length c.data then corrupt "trailing bytes after the node table"
-
 let check_envelope data =
-  if String.length data < String.length magic + 4 then
-    corrupt "truncated store: %d bytes is shorter than the header and checksum"
-      (String.length data);
+  let len = String.length data in
+  if len < String.length magic + 4 then
+    corrupt "truncated store: %d bytes is shorter than the header and checksum" len;
   if String.sub data 0 (String.length magic) <> magic then
     corrupt "bad magic number in the header";
-  let body = String.sub data 0 (String.length data - 4) in
-  let stored_crc =
-    let c = { data; pos = String.length data - 4; section = "checksum" } in
-    r32 c
-  in
-  let actual = Int32.to_int (Repro_codes.Crc32.string body) land 0xFFFFFFFF in
+  let body () = { data; pos = String.length magic; limit = len - 4; section = "scheme name" } in
+  let stored_crc = String.get_int32_le data (len - 4) in
+  let actual = Repro_codes.Crc32.bytes (Bytes.unsafe_of_string data) 0 (len - 4) in
   if stored_crc <> actual then begin
     (* A store cut off mid-write fails its checksum too, but "truncated
        while reading the node label" is a better diagnosis than a bare
        mismatch: probe-parse the body and prefer the truncation error when
        that is what the probe hits. *)
-    (match parse_body body with
-    | () -> ()
+    (match
+       let c = body () in
+       ignore (read_scheme c);
+       read_tree c
+     with
+    | _ -> ()
     | exception Corrupt msg when is_truncation msg -> raise (Corrupt msg)
     | exception Corrupt _ -> ());
-    corrupt "checksum mismatch over the store body (stored %08lx, computed %08lx)"
-      (Int32.of_int stored_crc) (Int32.of_int actual)
+    corrupt "checksum mismatch over the store body (stored %08lx, computed %08lx)" stored_crc
+      actual
   end;
-  body_cursor body
+  body ()
 
-let scheme_of data =
-  let c = check_envelope data in
-  rstr16 c
-
-(* Rebuild the fragment tree from positional parent links: children follow
-   their parent in document order, so a single pass with a position->frag
-   accumulation suffices; we go through an intermediate mutable record. *)
-let rebuild_doc stored =
-  if Array.length stored = 0 then corrupt "store holds no nodes";
-  if stored.(0).s_parent <> no_parent then corrupt "first node is not the root";
-  let children = Array.make (Array.length stored) [] in
-  (* collect child positions per parent (reverse order) *)
-  Array.iteri
-    (fun i s ->
-      if i > 0 then begin
-        if s.s_parent >= i then corrupt "parent reference out of order";
-        children.(s.s_parent) <- i :: children.(s.s_parent)
-      end)
-    stored;
-  let rec frag i =
-    let s = stored.(i) in
-    (* children were accumulated in reverse document order *)
-    let kids = List.rev_map frag children.(i) in
-    match s.s_kind with
-    | Tree.Attribute ->
-      if kids <> [] then corrupt "attribute with children";
-      Tree.attr s.s_name (Option.value s.s_value ~default:"")
-    | Tree.Element -> Tree.elt ?value:s.s_value s.s_name kids
-  in
-  Tree.create (frag 0)
+let scheme_of data = read_scheme (check_envelope data)
 
 let load ?scheme data =
   let c = check_envelope data in
-  let scheme_name = rstr16 c in
+  let scheme_name = read_scheme c in
   let pack =
     match scheme with
     | Some pack ->
@@ -216,18 +248,10 @@ let load ?scheme data =
       | Some pack -> pack
       | None -> corrupt "unknown scheme %S" scheme_name)
   in
-  let stored = read_nodes c in
-  if c.pos <> String.length c.data then corrupt "trailing bytes after the node table";
-  let doc = rebuild_doc stored in
-  (* document order of the fresh tree matches the stored order *)
-  let by_position = Tree.preorder_array doc in
-  if Array.length by_position <> Array.length stored then corrupt "node count mismatch";
-  let by_id = Hashtbl.create (Array.length stored) in
-  Array.iteri (fun i (n : Tree.node) -> Hashtbl.replace by_id n.id stored.(i)) by_position;
-  let lookup (n : Tree.node) =
-    let s = Hashtbl.find by_id n.id in
-    (s.s_label_bytes, s.s_label_bits)
-  in
+  let root, labels = read_tree c in
+  let doc = Tree.create root in
+  (* a fresh document numbers its nodes in document order *)
+  let lookup (n : Tree.node) = labels.(n.id) in
   match Core.Session.restore pack doc lookup with
   | session -> session
   | exception Invalid_argument msg -> corrupt "label decoding failed: %s" msg

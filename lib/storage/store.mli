@@ -6,24 +6,43 @@
     without relabelling a single node. The §5.2 version-control scenario
     builds on exactly this guarantee.
 
-    Format (all integers little-endian):
+    Format XLS2. Every integer is an unsigned LEB128 varint (seven bits
+    per byte, high bit set on all but the last), so no field has a width
+    limit; only the checksum is fixed-width.
     {v
-    magic   "XLS1"
-    scheme  u16 length + name bytes
-    nodes   u32 count, then per node in document order:
-              u8 kind, u32 parent position (0xFFFFFFFF for the root),
-              u16 name length + bytes,
-              u8 value flag (+ u32 length + bytes when set),
-              u16 label bit count, u16 label byte count + bytes
-    crc     u32 CRC-32 of everything above
-    v} *)
+    magic    "XLS2"
+    scheme   length + name bytes
+    count    number of nodes
+    names    dictionary size, then each distinct element or attribute
+             name once (length + bytes), in order of first appearance
+    nodes    per node in document order:
+               tag = name index * 4 + kind * 2 + value flag
+                     (kind 0 element, 1 attribute)
+               child count — the children follow, recursively
+               value length + bytes, when the value flag is set
+               label: bit count, bytes shared with the previous node's
+                      label, suffix length + suffix bytes
+    crc      u32 little-endian CRC-32 of everything above
+    v}
+
+    The label is the scheme's own encoded bytes, reassembled exactly, so
+    every scheme round-trips. On an 8,000-node generated document a QED
+    or ORDPATH store takes 13.7-13.9 bytes per node.
+
+    The decoder checks every count, index and length against what the
+    remaining data can hold before allocating for it: a child count above
+    the nodes still to come, a name index outside the dictionary or a
+    shared prefix longer than the previous label raises {!Corrupt}, and a
+    truncated store names the section it ran out in. *)
 
 exception Corrupt of string
 (** Raised on a bad magic number, checksum mismatch, truncation, or a
     scheme/label decoding failure. *)
 
 val save : Core.Session.t -> string
-(** The serialised bytes of the session's document and labels. *)
+(** The serialised bytes of the session's document and labels, written in
+    one preorder pass. Never raises: names, values and labels of any
+    length fit the format. *)
 
 val save_file : ?io:Repro_io.Io.t -> Core.Session.t -> string -> unit
 (** Write through the IO seam ([?io], default the hardened Unix backend).

@@ -50,8 +50,9 @@ val frag_size : frag -> int
 (** {1 Documents} *)
 
 val create : frag -> doc
-(** [create f] builds a document whose root is [f]. Raises
-    [Invalid_argument] if the root fragment is an attribute. *)
+(** [create f] builds a document whose root is [f]. Its nodes are
+    numbered in document order: the [n]-th node of {!preorder} has id
+    [n]. Raises [Invalid_argument] if the root fragment is an attribute. *)
 
 val root : doc -> node
 val size : doc -> int

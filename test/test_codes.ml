@@ -212,6 +212,18 @@ let crt_property =
       let sc = Crt.solve pairs in
       List.for_all (fun (p, r) -> Crt.residue sc p = r) pairs)
 
+(* The standard CRC-32 check value, and the range form agreeing with the
+   whole-string and concatenation forms. *)
+let crc32_units () =
+  let module C = Repro_codes.Crc32 in
+  Alcotest.(check int32) "check value of 123456789" 0xCBF43926l (C.string "123456789");
+  Alcotest.(check int32) "empty string" 0l (C.string "");
+  let b = Bytes.of_string "xx123456789yy" in
+  Alcotest.(check int32) "range" (C.string "123456789") (C.bytes b 2 9);
+  Alcotest.(check int32) "parts" (C.string "123456789") (C.strings [ "1234"; ""; "56789" ]);
+  Alcotest.check_raises "range past the end" (Invalid_argument "Crc32.bytes") (fun () ->
+      ignore (C.bytes b 5 9))
+
 let suite =
   [
     ("bitstr units", `Quick, bitstr_units);
@@ -234,4 +246,5 @@ let suite =
     qcheck bignat_divmod_property;
     qcheck bignat_string_roundtrip;
     qcheck crt_property;
+    ("crc32 units", `Quick, crc32_units);
   ]

@@ -280,6 +280,24 @@ let recover_then_continue () =
         (resumed = flat (Durable_session.session d));
       Durable_session.close d)
 
+(* A name of 64 KiB or more is journalled like any other rename, and the
+   next checkpoint must carry it into the snapshot. *)
+let checkpoint_keeps_long_names () =
+  with_base (fun base ->
+      let live = make_session qed 6 in
+      let d = Durable_session.create ~base live in
+      let view = Durable_session.session d in
+      let target = List.nth (Tree.preorder view.Core.Session.doc) 3 in
+      view.Core.Session.rename target (String.make 70_000 'n');
+      Durable_session.checkpoint d;
+      Durable_session.close d;
+      let recovered, r = Durable_session.recover ~base () in
+      check Alcotest.int "epoch advanced" 2 r.Journal.r_epoch;
+      check Alcotest.int "the rename lives in the snapshot" 0 r.Journal.r_records;
+      check Alcotest.bool "recovered state equals the live session" true
+        (flat live = flat (Durable_session.session recovered));
+      Durable_session.close recovered)
+
 let suite =
   [
     ("oplog codec round-trip", `Quick, oplog_roundtrip);
@@ -292,4 +310,5 @@ let suite =
     ("bit flips in the last record (QED)", `Quick, bitflip_last_record qed 23);
     ("bit flips in the last record (Vector)", `Quick, bitflip_last_record vector 24);
     ("recover then continue", `Quick, recover_then_continue);
+    ("checkpoint keeps a 70,000-byte name", `Quick, checkpoint_keeps_long_names);
   ]

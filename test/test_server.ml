@@ -682,6 +682,35 @@ let paranoid_query_soak ~legacy () =
             | None -> Alcotest.fail "query/paranoid metric missing")
           | _ -> Alcotest.fail "metrics fetch failed"))
 
+(* A 70,000-byte name is journalled, checkpointed into the snapshot, and
+   the flusher that ran the checkpoint goes on acking mutations. *)
+let checkpoint_of_long_name () =
+  let root = fresh_root () in
+  let t = Server.start { (Server.default_config ~root) with checkpoint_min_records = 0 } in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop t);
+      rm_rf root)
+    (fun () ->
+      with_client t (fun c ->
+          let o = open_doc c ~doc:"long" ~scheme:"QED" in
+          let root_label = { Oplog.l_bytes = o.o_root.P.l_bytes; l_bits = o.o_root.P.l_bits } in
+          (match
+             ok (Client.update c ~doc:"long" [ Oplog.Rename (root_label, String.make 70_000 'n') ])
+           with
+          | P.Updated { up_applied = 1; _ } -> ()
+          | _ -> Alcotest.fail "rename was not acked");
+          (match ok (Client.checkpoint c ~doc:"long") with
+          | P.Checkpointed epoch -> check Alcotest.bool "epoch advanced" true (epoch >= 2)
+          | _ -> Alcotest.fail "checkpoint did not answer Checkpointed");
+          match
+            ok
+              (Client.update c ~doc:"long"
+                 [ Oplog.Insert_last (root_label, Tree.elt ~value:"v" "after" []) ])
+          with
+          | P.Updated { up_applied = 1; _ } -> ()
+          | _ -> Alcotest.fail "update after the checkpoint was not acked"))
+
 let suite =
   [
     Alcotest.test_case "happy path over loopback" `Quick happy_path;
@@ -701,4 +730,5 @@ let suite =
       (paranoid_query_soak ~legacy:false);
     Alcotest.test_case "paranoid query soak, legacy core" `Slow
       (paranoid_query_soak ~legacy:true);
+    Alcotest.test_case "checkpoint of a 70,000-byte name" `Quick checkpoint_of_long_name;
   ]

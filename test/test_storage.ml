@@ -135,7 +135,8 @@ let truncations_fail_cleanly =
    (with both sums), and a truncated store says which section the data ran
    out under — at any cut point. *)
 let sections =
-  [ "scheme name"; "node count"; "node header"; "node name"; "node value"; "node label" ]
+  [ "scheme name"; "node count"; "name dictionary"; "node tag"; "child count"; "node value";
+    "node label" ]
 
 let corruption_messages () =
   let session = updated_session (module Repro_schemes.Qed : Core.Scheme.S) 7 in
@@ -206,6 +207,69 @@ let roundtrip_every_registered_scheme () =
         (Tree.preorder reloaded.Core.Session.doc))
     Repro_schemes.Registry.all
 
+(* The store's footprint on the benchmark's 8,000-node documents: names
+   go through the dictionary, framing is LEB128 and labels share their
+   prefix with the previous label, so a node costs at most 15 bytes. *)
+let compact_on_large_documents () =
+  let doc () =
+    Repro_workload.Docgen.generate ~seed:7920
+      { Repro_workload.Docgen.default_shape with target_nodes = 8000 }
+  in
+  List.iter
+    (fun pack ->
+      let session = Core.Session.make pack (doc ()) in
+      let nodes = Tree.size session.Core.Session.doc in
+      let bytes = String.length (Repro_storage.Store.save session) in
+      check Alcotest.int "document size" 8000 nodes;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d bytes for %d nodes is at most 15 B/node"
+           (Core.Scheme.name pack) bytes nodes)
+        true
+        (bytes <= 15 * nodes))
+    [ (module Repro_schemes.Qed : Core.Scheme.S); (module Repro_schemes.Ordpath : Core.Scheme.S) ]
+
+(* Hostile stores whose checksum is valid, so the decoder's own bounds
+   must reject them: one single-byte field of a saved store is replaced
+   and the store re-sealed with a fresh CRC. *)
+let hostile_inputs () =
+  let doc =
+    Tree.create
+      (Tree.elt "r"
+         [ Tree.attr "id" "1"; Tree.elt "a" [ Tree.elt ~value:"x" "b" [] ]; Tree.elt "a" [] ])
+  in
+  let session = Core.Session.make (module Repro_schemes.Qed : Core.Scheme.S) doc in
+  let data = Repro_storage.Store.save session in
+  let body = Bytes.of_string (String.sub data 0 (String.length data - 4)) in
+  let seal body =
+    let n = Bytes.length body in
+    let sealed = Bytes.extend body 0 4 in
+    Bytes.set_int32_le sealed n (Repro_codes.Crc32.bytes body 0 n);
+    Bytes.to_string sealed
+  in
+  check Alcotest.string "re-sealing the untouched body gives the saved store" data (seal body);
+  (* Header: magic, scheme name "QED", node count 5, then the dictionary
+     r, id, a, b; the root record follows. All fields here are one byte. *)
+  let root = 4 + 1 + 3 + 1 + 1 + 2 + 3 + 2 + 2 in
+  check Alcotest.int "root tag: name 0, element, no value" 0 (Char.code (Bytes.get body root));
+  check Alcotest.int "root child count" 3 (Char.code (Bytes.get body (root + 1)));
+  check Alcotest.bool "root label bit count is one byte" true
+    (Char.code (Bytes.get body (root + 2)) < 0x80);
+  let expect_corrupt what ~at byte =
+    let b = Bytes.copy body in
+    Bytes.set b at (Char.chr byte);
+    match Repro_storage.Store.load (seal b) with
+    | _ -> Alcotest.failf "%s loaded successfully" what
+    | exception Repro_storage.Store.Corrupt msg ->
+      check Alcotest.bool
+        (Printf.sprintf "%s is not a checksum failure: %S" what msg)
+        false
+        (String.length msg >= 8 && String.sub msg 0 8 = "checksum")
+  in
+  expect_corrupt "child count above the nodes remaining" ~at:(root + 1) 5;
+  expect_corrupt "name index outside the dictionary" ~at:root (4 lsl 2);
+  (* the root's label is the first, so it can share nothing *)
+  expect_corrupt "shared prefix longer than the previous label" ~at:(root + 3) 9
+
 let suite =
   suite
   @ [
@@ -213,4 +277,6 @@ let suite =
       ("round trip over every registered scheme", `Quick, roundtrip_every_registered_scheme);
       qcheck loader_never_crashes;
       qcheck truncations_fail_cleanly;
+      ("compact on large documents", `Quick, compact_on_large_documents);
+      ("hostile inputs with a valid checksum", `Quick, hostile_inputs);
     ]

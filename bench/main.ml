@@ -456,19 +456,49 @@ let bench_recovery pack ~interval =
 
 (* The store's footprint: the snapshot a checkpoint writes (and every
    replica downloads) for the server benchmark's 8,000-node document, and
-   the median wall time of a checkpoint, fsyncs included. *)
+   the median wall time of a checkpoint, fsyncs included. Beside it, the
+   document's cost in memory: the live-heap growth from opening it and
+   applying one mutation (what a served document holds), and the median
+   time to load the snapshot back. *)
 let journal_footprint_nodes = 8000
 let journal_footprint_seed = 7920
 let journal_footprint_checkpoints = 5
+let journal_footprint_loads = 5
 
-type footprint = { f_nodes : int; f_snapshot_bytes : int; f_checkpoint_ms : float }
+type footprint = {
+  f_nodes : int;
+  f_snapshot_bytes : int;
+  f_checkpoint_ms : float;
+  f_live_bytes_per_node : float;
+  f_load_ms : float;
+}
+
+let footprint_doc () =
+  Docgen.generate ~seed:journal_footprint_seed
+    { Docgen.default_shape with target_nodes = journal_footprint_nodes }
+
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let median_ms times =
+  Array.sort compare times;
+  times.(Array.length times / 2) *. 1000.0
 
 let bench_footprint pack =
+  let before = live_words () in
+  let session = Core.Session.make pack (footprint_doc ()) in
+  let doc = session.Core.Session.doc in
+  ignore (session.Core.Session.insert_last (Tree.root doc) (Tree.elt "probe" []));
+  let live_bytes = (live_words () - before) * (Sys.word_size / 8) in
+  let nodes = Tree.size doc in
+  let snapshot = Repro_storage.Store.save session in
+  let loads =
+    Array.init journal_footprint_loads (fun _ ->
+        snd (time (fun () -> Repro_storage.Store.load ~scheme:pack snapshot)))
+  in
   with_journal_base (fun base ->
-      let doc =
-        Docgen.generate ~seed:journal_footprint_seed
-          { Docgen.default_shape with target_nodes = journal_footprint_nodes }
-      in
+      let doc = footprint_doc () in
       let d = Repro_journal.Durable_session.create ~base (Core.Session.make pack doc) in
       let times =
         Array.init journal_footprint_checkpoints (fun _ ->
@@ -479,11 +509,12 @@ let bench_footprint pack =
           (Repro_journal.Journal.snapshot_bytes (Repro_journal.Durable_session.journal d))
       in
       Repro_journal.Durable_session.close d;
-      Array.sort compare times;
       {
         f_nodes = Tree.size doc;
         f_snapshot_bytes = bytes;
-        f_checkpoint_ms = times.(journal_footprint_checkpoints / 2) *. 1000.0;
+        f_checkpoint_ms = median_ms times;
+        f_live_bytes_per_node = float_of_int live_bytes /. float_of_int nodes;
+        f_load_ms = median_ms loads;
       })
 
 let journal_json results =
@@ -495,8 +526,9 @@ let journal_json results =
       Buffer.add_string buf (Printf.sprintf "    {\n      \"scheme\": %S,\n" scheme);
       Buffer.add_string buf
         (Printf.sprintf
-           "      \"footprint\": {\"nodes\": %d, \"snapshot_bytes\": %d, \"checkpoint_ms\": %.2f},\n"
-           f.f_nodes f.f_snapshot_bytes f.f_checkpoint_ms);
+           "      \"footprint\": {\"nodes\": %d, \"snapshot_bytes\": %d, \"checkpoint_ms\": %.2f, \
+            \"live_bytes_per_node\": %.1f, \"load_ms\": %.2f},\n"
+           f.f_nodes f.f_snapshot_bytes f.f_checkpoint_ms f.f_live_bytes_per_node f.f_load_ms);
       Buffer.add_string buf "      \"append\": [";
       List.iteri
         (fun j a ->
@@ -556,6 +588,8 @@ let run_journal () =
           name f.f_nodes f.f_snapshot_bytes
           (float_of_int f.f_snapshot_bytes /. float_of_int f.f_nodes)
           f.f_checkpoint_ms;
+        Printf.printf "%-10s memory   %.1f live B/node, load %.2f ms\n" name
+          f.f_live_bytes_per_node f.f_load_ms;
         (name, appends, recoveries, f))
       journal_schemes
   in

@@ -41,6 +41,23 @@ type reader = { data : string; total_bits : int; mutable pos : int }
 
 let reader data = { data; total_bits = 8 * String.length data; pos = 0 }
 
+let reader_at data pos =
+  let total_bits = 8 * String.length data in
+  if pos < 0 || pos > total_bits then invalid_arg "Bitpack.reader_at: position out of range";
+  { data; total_bits; pos }
+
+let shares_prefix a b n =
+  let whole = n / 8 and rest = n mod 8 in
+  let rec bytes_agree i = i >= whole || (a.[i] = b.[i] && bytes_agree (i + 1)) in
+  n >= 0
+  && 8 * String.length a >= n
+  && 8 * String.length b >= n
+  && bytes_agree 0
+  && (rest = 0
+     ||
+     let mask = 0xFF lxor (0xFF lsr rest) in
+     Char.code a.[whole] land mask = Char.code b.[whole] land mask)
+
 let read_bit r =
   if r.pos >= r.total_bits then invalid_arg "Bitpack.read_bit: past the end";
   let byte = Char.code r.data.[r.pos / 8] in

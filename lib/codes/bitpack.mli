@@ -24,6 +24,16 @@ val contents : writer -> string
 type reader
 
 val reader : string -> reader
+
+val reader_at : string -> int -> reader
+(** [reader_at data pos] reads [data] from bit [pos] on, so a label that
+    extends a known prefix can be decoded from where the prefix ends.
+    Raises [Invalid_argument] if [pos] lies outside [data]. *)
+
+val shares_prefix : string -> string -> int -> bool
+(** [shares_prefix a b n]: the first [n] bits of [a] and [b] agree (false
+    if either holds fewer than [n] bits). *)
+
 val read_bit : reader -> bool
 val read_bits : reader -> int -> int
 (** Raises [Invalid_argument] when reading past the end. *)

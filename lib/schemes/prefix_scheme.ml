@@ -1,7 +1,8 @@
 (** Shared implementation of prefix labelling schemes (paper §3.1.2).
 
-    A label is the root-to-node sequence of positional identifiers. The
-    functor provides document order (preorder = prefix-first lexicographic
+    A label is the root-to-node sequence of positional identifiers, held
+    in memory node-first on top of the parent's label. The functor
+    provides document order (preorder = prefix-first lexicographic
     order on code sequences), the label-only structural predicates, bulk
     labelling, and the update protocol — including sibling renumbering when
     the code algebra demands it ({!Code_sig.Needs_relabel}) and whole-
@@ -9,6 +10,7 @@
     ({!Code_sig.Code_overflow}, the §4 overflow problem). *)
 
 open Repro_xml
+module Bitpack = Repro_codes.Bitpack
 
 module Make (Code : Code_sig.CODE) (Config : sig
   val config : Code_sig.config
@@ -17,31 +19,64 @@ end) : Core.Scheme.S = struct
   let name = config.name
   let info = config.info
 
-  type label = Code.t list
+  (* A label is stored node-first: the node's own code, its depth and its
+     parent's label, which is shared rather than copied. A node costs one
+     record however deep it sits, creating a label is O(1), and labels of
+     one live document share every common ancestor physically. Labels
+     decoded from bytes are self-contained chains that share nothing with
+     the live ones; every function below works on both. *)
+  type label = Root | Step of { code : Code.t; depth : int; up : label }
 
-  let rec compare_order a b =
-    match (a, b) with
-    | [], [] -> 0
-    | [], _ -> -1 (* ancestors precede descendants: preorder *)
-    | _, [] -> 1
-    | x :: xs, y :: ys ->
-      let c = Code.compare x y in
-      if c <> 0 then c else compare_order xs ys
+  let depth = function Root -> 0 | Step s -> s.depth
+  let step code up = Step { code; depth = depth up + 1; up }
 
-  (* One structural walk; a length mismatch short-circuits at the first
-     missing tail instead of paying two [List.length] traversals up front.
-     Equality is the hottest comparison in the system — {!Core.Table.set}
-     runs it on every label assignment. *)
+  (* The codes root first, as the paper writes a label. *)
+  let codes l =
+    let rec go acc = function Root -> acc | Step s -> go (s.code :: acc) s.up in
+    go [] l
+
+  (* The ancestor-or-self of [l] at depth [d] ([d <= depth l]). The helpers
+     below stay at the functor's top level: a local closure over [Code]
+     would be allocated on every comparison. *)
+  let rec climb l d =
+    match l with Step s when s.depth > d -> climb s.up d | _ -> l
+
   let rec equal_label a b =
+    a == b
+    ||
     match (a, b) with
-    | [], [] -> true
-    | x :: xs, y :: ys -> Code.equal x y && equal_label xs ys
+    | Step x, Step y -> x.depth = y.depth && Code.equal x.code y.code && equal_label x.up y.up
     | _ -> false
 
+  (* Two labels of equal depth, compared root first. Climbing stops at the
+     lowest physically shared parent, so for labels of one live document
+     only the two codes just below it are compared; the codes above are
+     compared only while the pairs below them tie. Labels that share
+     nothing (decoded ones) get the full root-first walk. *)
+  let rec compare_level a b =
+    match (a, b) with
+    | Step x, Step y when a != b ->
+      if x.up == y.up then Code.compare x.code y.code
+      else
+        let c = compare_level x.up y.up in
+        if c <> 0 then c else Code.compare x.code y.code
+    | _ -> 0
+
+  (* Document order is preorder: an ancestor precedes its descendants. *)
+  let compare_order a b =
+    let da = depth a and db = depth b in
+    if da = db then compare_level a b
+    else if da > db then
+      let c = compare_level (climb a db) b in
+      if c <> 0 then c else 1
+    else
+      let c = compare_level a (climb b da) in
+      if c <> 0 then c else -1
+
   let label_to_string = function
-    | [] -> "\xce\xb5" (* the empty root label, shown as epsilon *)
-    | codes -> (
-      let strings = List.map Code.to_string codes in
+    | Root -> "\xce\xb5" (* the empty root label, shown as epsilon *)
+    | l -> (
+      let strings = List.map Code.to_string (codes l) in
       match config.render with
       | Some render -> render strings
       | None -> String.concat "." strings)
@@ -51,57 +86,48 @@ end) : Core.Scheme.S = struct
   let length_overhead =
     match config.length_field_bits with Some k -> k | None -> 0
 
-  let storage_bits l =
-    List.fold_left (fun acc c -> acc + Code.bits c) length_overhead l
+  let rec sum_bits acc = function
+    | Root -> acc
+    | Step s -> sum_bits (acc + Code.bits s.code) s.up
+
+  let storage_bits l = sum_bits length_overhead l
 
   (* Binary form: the codes in root-to-node order, each self-delimiting by
      the scheme's own layout; the length field the representation needs is
      carried alongside as the significant-bit count. *)
+  let rec encode_onto w = function
+    | Root -> ()
+    | Step s ->
+      encode_onto w s.up;
+      Code.encode w s.code
+
   let encode_label l =
-    let w = Repro_codes.Bitpack.writer () in
-    List.iter (Code.encode w) l;
-    (Repro_codes.Bitpack.contents w, Repro_codes.Bitpack.bit_length w)
+    let w = Bitpack.writer () in
+    encode_onto w l;
+    (Bitpack.contents w, Bitpack.bit_length w)
 
-  let decode_label bytes bits =
-    let r = Repro_codes.Bitpack.reader bytes in
-    let rec go acc =
-      if Repro_codes.Bitpack.position r >= bits then List.rev acc
-      else go (Code.decode r :: acc)
-    in
-    go []
+  (* The codes [r] holds before bit [bits], stepped onto [up]. *)
+  let rec decode_onto r bits up =
+    if Bitpack.position r >= bits then up
+    else decode_onto r bits (step (Code.decode r) up)
 
-  (* [a] is a strict prefix of [d]: same single-walk discipline as
-     [equal_label]. *)
-  let rec is_strict_prefix p l =
-    match (p, l) with
-    | [], _ :: _ -> true
-    | x :: xs, y :: ys -> Code.equal x y && is_strict_prefix xs ys
-    | _ -> false
+  let decode_label bytes bits = decode_onto (Bitpack.reader bytes) bits Root
 
-  let is_ancestor = Some (fun a d -> is_strict_prefix a d)
+  let is_ancestor =
+    Some (fun a d -> depth a < depth d && equal_label a (climb d (depth a)))
 
-  let rec is_parent_of p c =
-    match (p, c) with
-    | [], [ _ ] -> true
-    | x :: xs, y :: ys -> Code.equal x y && is_parent_of xs ys
-    | _ -> false
-
-  let is_parent = Some (fun p c -> is_parent_of p c)
+  let is_parent = Some (fun p c -> match c with Step s -> equal_label p s.up | Root -> false)
 
   let is_sibling =
     Some
       (fun a b ->
-        let rec go a b =
-          match (a, b) with
-          | [ x ], [ y ] -> not (Code.equal x y)
-          | x :: xs, y :: ys -> Code.equal x y && go xs ys
-          | _ -> false
-        in
-        go a b)
+        match (a, b) with
+        | Step x, Step y -> (not (Code.equal x.code y.code)) && equal_label x.up y.up
+        | _ -> false)
 
   let root_depth_adjust = if config.root_code then 1 else 0
 
-  let level_of = Some (fun l -> List.length l - root_depth_adjust)
+  let level_of = Some (fun l -> depth l - root_depth_adjust)
 
   type t = { doc : Tree.doc; table : label Core.Table.t; stats : Core.Stats.t }
 
@@ -122,7 +148,7 @@ end) : Core.Scheme.S = struct
       let codes = Code.initial n in
       List.iteri
         (fun i child ->
-          let l = parent_label @ [ codes.(i) ] in
+          let l = step codes.(i) parent_label in
           set t child l;
           assign_children t l (Tree.children child))
         children
@@ -130,7 +156,7 @@ end) : Core.Scheme.S = struct
 
   let relabel_document t =
     let root = Tree.root t.doc in
-    let root_label = if config.root_code then [ Code.root ] else [] in
+    let root_label = if config.root_code then step Code.root Root else Root in
     set t root root_label;
     assign_children t root_label (Tree.children root)
 
@@ -142,14 +168,32 @@ end) : Core.Scheme.S = struct
     relabel_document t;
     t
 
+  (* Restored labels share paths too. A child's stored bits normally
+     extend its parent's, so only the child's own code is decoded, from
+     where the parent's bits end, onto the parent's label. A child that
+     does not extend its parent, or whose parent's decode did not end
+     exactly on its bit count (malformed data), is decoded whole. Either
+     way the label is [decode_label] of the stored form. *)
   let restore doc stored =
     let stats = Core.Stats.create () in
-    let t = { doc; table = Core.Table.create ~equal:equal_label ~bits:storage_bits ~stats; stats } in
-    Tree.iter_preorder
-      (fun node ->
-        let bytes, bits = stored node in
-        Core.Table.set t.table node (decode_label bytes bits))
-      doc;
+    let t =
+      { doc; table = Core.Table.create ~equal:equal_label ~bits:storage_bits ~stats; stats }
+    in
+    let rec visit up parent_stored node =
+      let ((bytes, bits) as own) = stored node in
+      let r, onto =
+        match parent_stored with
+        | Some (pbytes, pbits) when pbits <= bits && Bitpack.shares_prefix pbytes bytes pbits
+          ->
+          (Bitpack.reader_at bytes pbits, up)
+        | _ -> (Bitpack.reader bytes, Root)
+      in
+      let l = decode_onto r bits onto in
+      set t node l;
+      let exact = if Bitpack.position r = bits then Some own else None in
+      List.iter (visit l exact) (Tree.children node)
+    in
+    visit Root None (Tree.root doc);
     t
 
   let label t node = Core.Table.get t.table node
@@ -160,11 +204,11 @@ end) : Core.Scheme.S = struct
     let l = label t node in
     List.iter
       (fun child ->
-        match List.rev (label t child) with
-        | own :: _ ->
-          set t child (l @ [ own ]);
+        match label t child with
+        | Step own ->
+          set t child (step own.code l);
           refresh_descendants t child
-        | [] -> assert false)
+        | Root -> assert false)
       (Tree.children node)
 
   let renumber_siblings t parent node =
@@ -174,7 +218,7 @@ end) : Core.Scheme.S = struct
     let codes = Code.initial n in
     List.iteri
       (fun i child ->
-        set t child (parent_label @ [ codes.(i) ]);
+        set t child (step codes.(i) parent_label);
         if child.Tree.id <> node.Tree.id then refresh_descendants t child)
       children
 
@@ -182,9 +226,9 @@ end) : Core.Scheme.S = struct
     let left = Core.Table.labelled_left t.table node in
     let right = Core.Table.labelled_right t.table node in
     let last n =
-      match List.rev (label t n) with
-      | c :: _ -> c
-      | [] -> invalid_arg (name ^ ": a sibling carries the empty label")
+      match label t n with
+      | Step s -> s.code
+      | Root -> invalid_arg (name ^ ": a sibling carries the empty label")
     in
     match (left, right) with
     | None, None -> (Code.initial 1).(0)
@@ -199,7 +243,7 @@ end) : Core.Scheme.S = struct
       | Some parent -> (
         match
           let code = code_for t node in
-          let l = label t parent @ [ code ] in
+          let l = step code (label t parent) in
           if fits l then Some l else None
         with
         | Some l -> set t node l
@@ -231,7 +275,7 @@ end) : Core.Scheme.S = struct
           let parent_label = label t parent in
           List.iteri
             (fun i child ->
-              set t child (parent_label @ [ codes.(i) ]);
+              set t child (step codes.(i) parent_label);
               refresh_descendants t child)
             survivors
         end

@@ -306,9 +306,128 @@ let ckm_codes () =
   in
   check (Alcotest.list Alcotest.string) "paper's code sequence" [ "0"; "10"; "110" ] labels
 
+(* ------------------------------------------------------------------ *)
+(* Prefix labels share their paths                                     *)
+(* ------------------------------------------------------------------ *)
+
+let prefix_schemes : Core.Scheme.packed list =
+  Repro_schemes.
+    [
+      (module Qed);
+      (module Ordpath);
+      (module Cdqs);
+      (module Cdbs);
+      (module Com_d);
+      (module Dewey);
+      (module Dln);
+      (module Lsdx);
+      (module Improved_binary);
+      (module Vector_scheme);
+    ]
+
+(* A prefix label holds the node's whole path, but a node's label shares
+   its parent's, so a 1,000-deep chain costs a bounded number of words per
+   node rather than one copy of the path each. The bound must survive a
+   store round trip: restoring shares paths as well. *)
+let deep_chain_memory () =
+  let depth = 1000 in
+  let rec chain k = Tree.elt "e" (if k = 1 then [] else [ chain (k - 1) ]) in
+  let words_per_node session =
+    Obj.reachable_words (Obj.repr session) / Tree.size session.Core.Session.doc
+  in
+  List.iter
+    (fun pack ->
+      let name = Core.Scheme.name pack in
+      let session = Core.Session.make pack (Tree.create (chain depth)) in
+      check Alcotest.int "chain size" depth (Tree.size session.Core.Session.doc);
+      let live = words_per_node session in
+      if live > 100 then Alcotest.failf "%s: %d words per node in a deep chain" name live;
+      let reloaded = Repro_storage.Store.load (Repro_storage.Store.save session) in
+      let restored = words_per_node reloaded in
+      if restored > 100 then
+        Alcotest.failf "%s: %d words per node in a restored deep chain" name restored)
+    Repro_schemes.[ (module Qed : Core.Scheme.S); (module Ordpath); (module Dewey) ]
+
+(* A labelled document driven straight through the scheme (as the session
+   does), so the test holds the scheme's own label values. *)
+let random_updates (type s) (module S : Core.Scheme.S with type t = s) (state : s) doc ~seed
+    ~ops =
+  let rng = Repro_codes.Prng.create seed in
+  let settle n = List.iter (S.after_insert state) (n :: Tree.descendants n) in
+  for _ = 1 to ops do
+    let elements =
+      Array.of_list
+        (List.filter (fun (n : Tree.node) -> n.kind = Tree.Element) (Tree.preorder doc))
+    in
+    let n = Repro_codes.Prng.choose rng elements in
+    let fresh () = Tree.elt "u" [ Tree.elt "v" [] ] in
+    match (Repro_codes.Prng.int rng 5, Tree.parent n) with
+    | 0, Some _ when Tree.children n = [] ->
+      S.before_delete state n;
+      Tree.delete doc n
+    | (0 | 1), _ -> settle (Tree.insert_first_child doc n (fresh ()))
+    | 2, _ -> settle (Tree.insert_last_child doc n (fresh ()))
+    | 3, Some _ -> settle (Tree.insert_before doc n (fresh ()))
+    | _, Some _ -> settle (Tree.insert_after doc n (fresh ()))
+    | _, None -> settle (Tree.insert_last_child doc n (fresh ()))
+  done
+
+(* The label-only predicates against the oracle, on labels of three
+   provenances: live ones, which share their paths; ones rebuilt by
+   [decode_label (encode_label l)], which share nothing (what the wire
+   query path compares); and pairs mixing the two. *)
+let mixed_provenance_predicates () =
+  List.iter
+    (fun (module S : Core.Scheme.S) ->
+      let doc = make_doc ~seed:53 ~nodes:60 () in
+      let state = S.create doc in
+      random_updates (module S) state doc ~seed:59 ~ops:40;
+      let nodes = Array.of_list (Tree.preorder doc) in
+      let live = Array.map (S.label state) nodes in
+      let decoded =
+        Array.map
+          (fun l ->
+            let bytes, bits = S.encode_label l in
+            S.decode_label bytes bits)
+          live
+      in
+      let fails what i j =
+        Alcotest.failf "%s: %s wrong for %s/%s" S.name what (S.label_to_string live.(i))
+          (S.label_to_string live.(j))
+      in
+      let pred what f oracle la lb i j =
+        match f with
+        | Some f -> if f la.(i) lb.(j) <> oracle nodes.(i) nodes.(j) then fails what i j
+        | None -> ()
+      in
+      let case la lb =
+        Array.iteri
+          (fun i a ->
+            Array.iteri
+              (fun j b ->
+                let order = compare (S.compare_order la.(i) lb.(j)) 0 in
+                if order <> compare (Oracle.document_order a b) 0 then fails "compare_order" i j;
+                if S.equal_label la.(i) lb.(j) <> (i = j) then fails "equal_label" i j;
+                pred "is_ancestor" S.is_ancestor Oracle.is_ancestor la lb i j;
+                pred "is_parent" S.is_parent Oracle.is_parent la lb i j;
+                pred "is_sibling" S.is_sibling Oracle.is_sibling la lb i j)
+              nodes;
+            match S.level_of with
+            | Some level when level la.(i) <> Oracle.level a -> fails "level_of" i i
+            | _ -> ())
+          nodes
+      in
+      case live live;
+      case decoded decoded;
+      case live decoded;
+      case decoded live)
+    prefix_schemes
+
 let suite =
   suite
   @ [
       ("CKM omitted schemes behaviour", `Quick, ckm_behaviour);
       ("CKM code sequence matches the paper", `Quick, ckm_codes);
+      ("prefix labels share paths in a deep chain", `Quick, deep_chain_memory);
+      ("prefix predicates on live, decoded and mixed labels", `Quick, mixed_provenance_predicates);
     ]

@@ -270,6 +270,63 @@ let hostile_inputs () =
   (* the root's label is the first, so it can share nothing *)
   expect_corrupt "shared prefix longer than the previous label" ~at:(root + 3) 9
 
+(* The on-disk format, pinned: every registered scheme saves a fixed
+   document after a fixed seeded update sequence, and the CRC-32 of the
+   stored bytes must not move. Snapshots and journals written earlier
+   then keep loading, whatever the in-memory label representation. *)
+let pinned_store_crcs =
+  [
+    ("XPath Accelerator", "9f8111bc");
+    ("XRel", "2db603fe");
+    ("Sector", "7dd7b6d5");
+    ("QRS", "1991ae26");
+    ("DeweyID", "ed7cdd2b");
+    ("ORDPATH", "11c73409");
+    ("DLN", "d2e834ad");
+    ("LSDX", "45d51bd5");
+    ("ImprovedBinary", "8599ee2b");
+    ("QED", "198915c4");
+    ("CDQS", "722040cf");
+    ("Vector", "f47afe78");
+    ("Pre/Post", "6135df11");
+    ("Interval+gaps", "b321163e");
+    ("CDBS", "6a5f8724");
+    ("Com-D", "11788391");
+    ("Prime", "511f82c0");
+    ("DDE", "c7330511");
+    ("V-Prefix", "ad1c0b21");
+    ("QED-Containment", "321c85fc");
+    ("Dietz-OM", "242831c5");
+  ]
+
+let store_bytes_pinned () =
+  check Alcotest.int "one pin per registered scheme"
+    (List.length Repro_schemes.Registry.all)
+    (List.length pinned_store_crcs);
+  List.iter
+    (fun pack ->
+      let name = Core.Scheme.name pack in
+      let doc =
+        Repro_workload.Docgen.generate ~seed:4711
+          { Repro_workload.Docgen.default_shape with target_nodes = 150 }
+      in
+      let session = Core.Session.make pack doc in
+      Repro_workload.Updates.run Repro_workload.Updates.Uniform_random ~seed:4712 ~ops:30
+        session;
+      Repro_workload.Updates.run Repro_workload.Updates.Mixed_with_deletes ~seed:4713 ~ops:20
+        session;
+      let data = Repro_storage.Store.save session in
+      (* the body without its trailing checksum: a CRC over a message
+         followed by its own CRC is a constant *)
+      let crc =
+        Printf.sprintf "%08lx"
+          (Repro_codes.Crc32.string (String.sub data 0 (String.length data - 4)))
+      in
+      check Alcotest.string (name ^ ": CRC-32 of the saved store")
+        (Option.value (List.assoc_opt name pinned_store_crcs) ~default:"unpinned")
+        crc)
+    Repro_schemes.Registry.all
+
 let suite =
   suite
   @ [
@@ -279,4 +336,5 @@ let suite =
       qcheck truncations_fail_cleanly;
       ("compact on large documents", `Quick, compact_on_large_documents);
       ("hostile inputs with a valid checksum", `Quick, hostile_inputs);
+      ("store bytes pinned for every scheme", `Quick, store_bytes_pinned);
     ]

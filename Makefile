@@ -71,12 +71,20 @@ nettorture-smoke: build
 # Wire-query smoke: a paranoid in-process server (every served XPath/twig
 # answer re-verified against the scan evaluator over the same snapshot
 # rows) under the read-heavy 95/5 query/mutation mix. Any protocol error
-# or paranoid divergence fails the run.
+# or paranoid divergence fails the run. The second stanza serves
+# 1,000-node documents, whose index trees span many B+-tree leaves under
+# an inner level, with every 10th step a migration batch that moves whole
+# subtrees; the scan re-check is quadratic in document size, so it runs
+# fewer ops (budget: 30 s; 13 s on a 2-core VM).
 query-smoke: build
 	rm -rf _build/query-smoke
 	dune exec bin/xmlrepro.exe -- loadgen --self-serve --paranoid \
 	  --root _build/query-smoke --clients 4 --docs 2 --ops 4000 --seed 3 \
 	  --nodes 60 --query-pct 95 --schemes QED,ORDPATH
+	rm -rf _build/query-smoke
+	dune exec bin/xmlrepro.exe -- loadgen --self-serve --paranoid \
+	  --root _build/query-smoke --clients 4 --docs 2 --ops 1200 --seed 5 \
+	  --nodes 1000 --query-pct 95 --migrate-every 10 --schemes QED,ORDPATH
 
 # Schema-migration smoke: the offline per-scheme storm (every operator
 # kind, oracle-replay verified on a byte-identical twin — any

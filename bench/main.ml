@@ -471,6 +471,7 @@ type footprint = {
   f_checkpoint_ms : float;
   f_live_bytes_per_node : float;
   f_load_ms : float;
+  f_structures : (string * float) list;  (* live bytes per node, by structure *)
 }
 
 let footprint_doc () =
@@ -485,7 +486,41 @@ let median_ms times =
   Array.sort compare times;
   times.(Array.length times / 2) *. 1000.0
 
+(* The structures of a served document, built one at a time in the order
+   an Open builds them: the tree, the session's labels with the memo its
+   initial checkpoint fills, the journal resolver's label table, and the
+   Axis_inc index that answers queries. Each is the live-heap growth it
+   causes, per node. *)
+let structure_bytes pack =
+  let last = ref (live_words ()) in
+  let grew () =
+    let now = live_words () in
+    let words = now - !last in
+    last := now;
+    words
+  in
+  let doc = footprint_doc () in
+  let tree = grew () in
+  let session = Core.Session.make pack doc in
+  ignore (Repro_storage.Store.save session);
+  let labels = grew () in
+  let resolver = Repro_journal.Journal.Resolver.create session in
+  let l_bytes, l_bits = session.Core.Session.label_encoded (Tree.root doc) in
+  ignore (Repro_journal.Journal.Resolver.resolve resolver { Repro_journal.Oplog.l_bytes; l_bits });
+  let resolved = grew () in
+  let inc = Repro_encoding.Axis_inc.create doc in
+  let axis = grew () in
+  ignore (Sys.opaque_identity (session, resolver, inc));
+  let per_node words = float_of_int (words * (Sys.word_size / 8)) /. float_of_int (Tree.size doc) in
+  [
+    ("tree", per_node tree);
+    ("labels_and_memo", per_node labels);
+    ("resolver", per_node resolved);
+    ("axis_inc", per_node axis);
+  ]
+
 let bench_footprint pack =
+  let structures = structure_bytes pack in
   let before = live_words () in
   let session = Core.Session.make pack (footprint_doc ()) in
   let doc = session.Core.Session.doc in
@@ -515,6 +550,7 @@ let bench_footprint pack =
         f_checkpoint_ms = median_ms times;
         f_live_bytes_per_node = float_of_int live_bytes /. float_of_int nodes;
         f_load_ms = median_ms loads;
+        f_structures = structures;
       })
 
 let journal_json results =
@@ -527,8 +563,10 @@ let journal_json results =
       Buffer.add_string buf
         (Printf.sprintf
            "      \"footprint\": {\"nodes\": %d, \"snapshot_bytes\": %d, \"checkpoint_ms\": %.2f, \
-            \"live_bytes_per_node\": %.1f, \"load_ms\": %.2f},\n"
-           f.f_nodes f.f_snapshot_bytes f.f_checkpoint_ms f.f_live_bytes_per_node f.f_load_ms);
+            \"live_bytes_per_node\": %.1f, \"load_ms\": %.2f, \"structure_bytes_per_node\": {%s}},\n"
+           f.f_nodes f.f_snapshot_bytes f.f_checkpoint_ms f.f_live_bytes_per_node f.f_load_ms
+           (String.concat ", "
+              (List.map (fun (name, b) -> Printf.sprintf "\"%s\": %.1f" name b) f.f_structures)));
       Buffer.add_string buf "      \"append\": [";
       List.iteri
         (fun j a ->
@@ -590,6 +628,9 @@ let run_journal () =
           f.f_checkpoint_ms;
         Printf.printf "%-10s memory   %.1f live B/node, load %.2f ms\n" name
           f.f_live_bytes_per_node f.f_load_ms;
+        Printf.printf "%-10s served   %s (live B/node)\n" name
+          (String.concat ", "
+             (List.map (fun (s, b) -> Printf.sprintf "%s %.1f" s b) f.f_structures));
         (name, appends, recoveries, f))
       journal_schemes
   in

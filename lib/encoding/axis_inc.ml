@@ -1,7 +1,6 @@
 module Tree = Repro_xml.Tree
-module Imap = Map.Make (Int)
 module Smap = Map.Make (String)
-module Iset = Set.Make (Int)
+module Iset = Btree.Set
 
 (* Initial spacing between consecutive ranks, and the smallest spacing a
    renumbering pass restores. 2^32 leaves room for ~2^29 nodes below
@@ -27,14 +26,15 @@ type cell = {
   x_value : string option;
 }
 
-(* All maps are persistent, so a snapshot is the record itself: O(1) to
-   take, immutable to read, safely shared across domains. *)
+(* Every index is a persistent B+-tree (the name index a small string map
+   of them), so a snapshot is the record itself: O(1) to take, immutable
+   to read, safely shared across domains. *)
 type snap = {
-  plane : cell Imap.t;  (* sparse pre rank -> cell, document order *)
-  pre_of : int Imap.t;  (* node id -> pre rank *)
-  post_of : int Imap.t;  (* post rank -> pre rank *)
+  plane : cell Btree.t;  (* sparse pre rank -> cell, document order *)
+  pre_of : int Btree.t;  (* node id -> pre rank *)
+  post_of : int Btree.t;  (* post rank -> pre rank *)
   names : Iset.t Smap.t;  (* name -> pre ranks *)
-  kids : Iset.t Imap.t;  (* parent node id -> child pre ranks *)
+  kids : Iset.t Btree.t;  (* parent node id -> child pre ranks *)
   s_rev : int;  (* Tree.revision this snapshot reflects *)
 }
 
@@ -51,25 +51,23 @@ type t = {
 }
 
 let rev s = s.s_rev
-let size s = Imap.cardinal s.plane
+let size s = Btree.cardinal s.plane
 
 let stats t = { ops = t.m_ops; renumbered = t.m_renumbered; ns = t.m_ns }
 
 (* ------------------------------------------------------------------ *)
-(* Map plumbing                                                        *)
+(* Index plumbing                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let iset_add k pre m =
-  Imap.update k (fun s -> Some (Iset.add pre (Option.value s ~default:Iset.empty))) m
+  Btree.add k (Iset.add pre (Option.value (Btree.find_opt k m) ~default:Iset.empty)) m
 
 let iset_remove k pre m =
-  Imap.update k
-    (function
-      | None -> None
-      | Some s ->
-        let s = Iset.remove pre s in
-        if Iset.is_empty s then None else Some s)
-    m
+  match Btree.find_opt k m with
+  | None -> m
+  | Some s ->
+    let s = Iset.remove pre s in
+    if Iset.is_empty s then Btree.remove k m else Btree.add k s m
 
 let names_add name pre m =
   Smap.update name (fun s -> Some (Iset.add pre (Option.value s ~default:Iset.empty))) m
@@ -86,9 +84,9 @@ let names_remove name pre m =
 let add_cell snap (pre, c) =
   {
     snap with
-    plane = Imap.add pre c snap.plane;
-    pre_of = Imap.add c.x_id pre snap.pre_of;
-    post_of = Imap.add c.x_post pre snap.post_of;
+    plane = Btree.add pre c snap.plane;
+    pre_of = Btree.add c.x_id pre snap.pre_of;
+    post_of = Btree.add c.x_post pre snap.post_of;
     names = names_add c.x_name pre snap.names;
     kids = (if c.x_parent < 0 then snap.kids else iset_add c.x_parent pre snap.kids);
   }
@@ -96,9 +94,9 @@ let add_cell snap (pre, c) =
 let remove_cell snap (pre, c) =
   {
     snap with
-    plane = Imap.remove pre snap.plane;
-    pre_of = Imap.remove c.x_id snap.pre_of;
-    post_of = Imap.remove c.x_post snap.post_of;
+    plane = Btree.remove pre snap.plane;
+    pre_of = Btree.remove c.x_id snap.pre_of;
+    post_of = Btree.remove c.x_post snap.post_of;
     names = names_remove c.x_name pre snap.names;
     kids = (if c.x_parent < 0 then snap.kids else iset_remove c.x_parent pre snap.kids);
   }
@@ -131,7 +129,7 @@ let alloc keys ~lo ~hi ~k =
       else begin
         left := !a :: !left;
         (a :=
-           match Imap.find_last_opt (fun x -> x < List.hd !left) keys with
+           match Btree.find_last_opt (fun x -> x < List.hd !left) keys with
            | Some (x, _) -> x
            | None -> 0);
         true
@@ -142,7 +140,7 @@ let alloc keys ~lo ~hi ~k =
       else begin
         right := !b :: !right;
         (b :=
-           match Imap.find_first_opt (fun x -> x > List.hd !right) keys with
+           match Btree.find_first_opt (fun x -> x > List.hd !right) keys with
            | Some (x, _) -> x
            | None -> max_int);
         true
@@ -190,13 +188,13 @@ let alloc keys ~lo ~hi ~k =
 let apply_pre_remaps snap remaps =
   if remaps = [] then snap
   else begin
-    let items = List.map (fun (o, n) -> (o, n, Imap.find o snap.plane)) remaps in
+    let items = List.map (fun (o, n) -> (o, n, Btree.find o snap.plane)) remaps in
     let snap =
       List.fold_left
         (fun s (o, _, c) ->
           {
             s with
-            plane = Imap.remove o s.plane;
+            plane = Btree.remove o s.plane;
             names = names_remove c.x_name o s.names;
             kids = (if c.x_parent < 0 then s.kids else iset_remove c.x_parent o s.kids);
           })
@@ -206,9 +204,9 @@ let apply_pre_remaps snap remaps =
       (fun s (_, n, c) ->
         {
           s with
-          plane = Imap.add n c s.plane;
-          pre_of = Imap.add c.x_id n s.pre_of;
-          post_of = Imap.add c.x_post n s.post_of;
+          plane = Btree.add n c s.plane;
+          pre_of = Btree.add c.x_id n s.pre_of;
+          post_of = Btree.add c.x_post n s.post_of;
           names = names_add c.x_name n s.names;
           kids = (if c.x_parent < 0 then s.kids else iset_add c.x_parent n s.kids);
         })
@@ -218,17 +216,17 @@ let apply_pre_remaps snap remaps =
 let apply_post_remaps snap remaps =
   if remaps = [] then snap
   else begin
-    let items = List.map (fun (o, n) -> (o, n, Imap.find o snap.post_of)) remaps in
+    let items = List.map (fun (o, n) -> (o, n, Btree.find o snap.post_of)) remaps in
     let snap =
-      List.fold_left (fun s (o, _, _) -> { s with post_of = Imap.remove o s.post_of }) snap items
+      List.fold_left (fun s (o, _, _) -> { s with post_of = Btree.remove o s.post_of }) snap items
     in
     List.fold_left
       (fun s (_, n, pre) ->
-        let c = Imap.find pre s.plane in
+        let c = Btree.find pre s.plane in
         {
           s with
-          post_of = Imap.add n pre s.post_of;
-          plane = Imap.add pre { c with x_post = n } s.plane;
+          post_of = Btree.add n pre s.post_of;
+          plane = Btree.add pre { c with x_post = n } s.plane;
         })
       snap items
   end
@@ -237,38 +235,61 @@ let apply_post_remaps snap remaps =
 (* Initial build                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* One preorder walk yields the plane and the postorder already sorted,
+   so their leaves are packed bottom-up; only the node-id and parent-id
+   keys need a sort. *)
 let build_snap doc =
-  let pre_ctr = ref 0 and post_ctr = ref 0 in
-  let cells = ref [] in
-  let rec go level parent_id n =
-    incr pre_ctr;
-    let pre = !pre_ctr * gap in
-    List.iter (go (level + 1) n.Tree.id) (Tree.children n);
-    incr post_ctr;
-    cells :=
-      ( pre,
-        {
-          x_id = n.Tree.id;
-          x_post = !post_ctr * gap;
-          x_kind = kind_of n.Tree.kind;
-          x_parent = parent_id;
-          x_level = level;
-          x_name = n.Tree.name;
-          x_value = n.Tree.value;
-        } )
-      :: !cells
+  let n = Tree.size doc in
+  let rank i = (i + 1) * gap in
+  let nodes = Array.make n (Tree.root doc) in
+  let posts = Array.make n 0 and levels = Array.make n 0 and parents = Array.make n (-1) in
+  let pre_by_post = Array.make n 0 in
+  let kids = Hashtbl.create (n / 2) and names = Hashtbl.create 64 in
+  let push tbl k pre =
+    Hashtbl.replace tbl k (pre :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
+  in
+  let next_pre = ref 0 and next_post = ref 0 in
+  let rec go level parent nd =
+    let i = !next_pre in
+    incr next_pre;
+    nodes.(i) <- nd;
+    levels.(i) <- level;
+    parents.(i) <- parent;
+    push names nd.Tree.name (rank i);
+    if parent >= 0 then push kids parent (rank i);
+    List.iter (go (level + 1) nd.Tree.id) (Tree.children nd);
+    posts.(i) <- rank !next_post;
+    pre_by_post.(!next_post) <- rank i;
+    incr next_post
   in
   go 0 (-1) (Tree.root doc);
-  List.fold_left add_cell
-    {
-      plane = Imap.empty;
-      pre_of = Imap.empty;
-      post_of = Imap.empty;
-      names = Smap.empty;
-      kids = Imap.empty;
-      s_rev = Tree.revision doc;
-    }
-    !cells
+  let cells =
+    Array.init n (fun i ->
+        let nd = nodes.(i) in
+        {
+          x_id = nd.Tree.id;
+          x_post = posts.(i);
+          x_kind = kind_of nd.Tree.kind;
+          x_parent = parents.(i);
+          x_level = levels.(i);
+          x_name = nd.Tree.name;
+          x_value = nd.Tree.value;
+        })
+  in
+  let by_id = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare cells.(a).x_id cells.(b).x_id) by_id;
+  let parent_ids = Array.of_seq (Hashtbl.to_seq_keys kids) in
+  Array.sort Int.compare parent_ids;
+  let ascending pres = Iset.of_sorted (Array.of_list (List.rev pres)) in
+  {
+    plane = Btree.of_sorted (Array.init n rank) cells;
+    pre_of = Btree.of_sorted (Array.map (fun i -> cells.(i).x_id) by_id) (Array.map rank by_id);
+    post_of = Btree.of_sorted (Array.init n rank) pre_by_post;
+    names = Hashtbl.fold (fun name pres m -> Smap.add name (ascending pres) m) names Smap.empty;
+    kids =
+      Btree.of_sorted parent_ids (Array.map (fun p -> ascending (Hashtbl.find kids p)) parent_ids);
+    s_rev = Tree.revision doc;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Mutation maintenance                                                *)
@@ -283,12 +304,12 @@ let rec subtree_tail n = match Tree.last_child n with Some c -> subtree_tail c |
    [n] leads its sibling list. 0 when nothing precedes. *)
 let rec pred_post snap n =
   match Tree.prev_sibling n with
-  | Some s -> (Imap.find (Imap.find s.Tree.id snap.pre_of) snap.plane).x_post
+  | Some s -> (Btree.find (Btree.find s.Tree.id snap.pre_of) snap.plane).x_post
   | None -> (
     match Tree.parent n with Some p -> pred_post snap p | None -> 0)
 
 let succ_key key m =
-  match Imap.find_first_opt (fun x -> x > key) m with Some (x, _) -> x | None -> max_int
+  match Btree.find_first_opt (fun x -> x > key) m with Some (x, _) -> x | None -> max_int
 
 let on_insert t n =
   let snap = t.snap in
@@ -298,7 +319,7 @@ let on_insert t n =
   let pred_node =
     match Tree.prev_sibling n with Some s -> subtree_tail s | None -> parent
   in
-  let pre_lo = Imap.find pred_node.Tree.id snap.pre_of in
+  let pre_lo = Btree.find pred_node.Tree.id snap.pre_of in
   let pre_hi = succ_key pre_lo snap.plane in
   let pres, pre_remaps = alloc snap.plane ~lo:pre_lo ~hi:pre_hi ~k in
   let snap = apply_pre_remaps snap pre_remaps in
@@ -316,7 +337,7 @@ let on_insert t n =
   po n;
   List.iter2 (fun id post -> Hashtbl.replace post_of_id id post) (List.rev !order) posts;
   let levels = Hashtbl.create 16 in
-  let parent_level = (Imap.find (Imap.find parent.Tree.id snap.pre_of) snap.plane).x_level in
+  let parent_level = (Btree.find (Btree.find parent.Tree.id snap.pre_of) snap.plane).x_level in
   let rec lv l x =
     Hashtbl.replace levels x.Tree.id l;
     List.iter (lv (l + 1)) (Tree.children x)
@@ -345,8 +366,8 @@ let on_delete t n =
   let snap =
     List.fold_left
       (fun s node ->
-        let pre = Imap.find node.Tree.id s.pre_of in
-        remove_cell s (pre, Imap.find pre s.plane))
+        let pre = Btree.find node.Tree.id s.pre_of in
+        remove_cell s (pre, Btree.find pre s.plane))
       t.snap
       (n :: Tree.descendants n)
   in
@@ -354,24 +375,24 @@ let on_delete t n =
 
 let on_rename t n old =
   let snap = t.snap in
-  let pre = Imap.find n.Tree.id snap.pre_of in
-  let c = Imap.find pre snap.plane in
+  let pre = Btree.find n.Tree.id snap.pre_of in
+  let c = Btree.find pre snap.plane in
   t.snap <-
     {
       snap with
-      plane = Imap.add pre { c with x_name = n.Tree.name } snap.plane;
+      plane = Btree.add pre { c with x_name = n.Tree.name } snap.plane;
       names = names_add n.Tree.name pre (names_remove old pre snap.names);
       s_rev = Tree.revision t.doc;
     }
 
 let on_value t n =
   let snap = t.snap in
-  let pre = Imap.find n.Tree.id snap.pre_of in
-  let c = Imap.find pre snap.plane in
+  let pre = Btree.find n.Tree.id snap.pre_of in
+  let c = Btree.find pre snap.plane in
   t.snap <-
     {
       snap with
-      plane = Imap.add pre { c with x_value = n.Tree.value } snap.plane;
+      plane = Btree.add pre { c with x_value = n.Tree.value } snap.plane;
       s_rev = Tree.revision t.doc;
     }
 
@@ -408,26 +429,26 @@ let row_of snap pre (c : cell) : Encoding.row =
     Encoding.pre;
     post = c.x_post;
     kind = c.x_kind;
-    parent_pre = (if c.x_parent < 0 then None else Some (Imap.find c.x_parent snap.pre_of));
+    parent_pre = (if c.x_parent < 0 then None else Some (Btree.find c.x_parent snap.pre_of));
     level = c.x_level;
     name = c.x_name;
     value = c.x_value;
   }
 
 let rows snap =
-  List.rev (Imap.fold (fun pre c acc -> row_of snap pre c :: acc) snap.plane [])
+  List.rev (Btree.fold (fun pre c acc -> row_of snap pre c :: acc) snap.plane [])
 
 let source snap : Axis_source.t =
-  let row pre = row_of snap pre (Imap.find pre snap.plane) in
+  let row pre = row_of snap pre (Btree.find pre snap.plane) in
   let rows_of_set set = List.rev (Iset.fold (fun p acc -> row p :: acc) set []) in
-  let cell (r : Encoding.row) = Imap.find r.Encoding.pre snap.plane in
+  let cell (r : Encoding.row) = Btree.find r.Encoding.pre snap.plane in
   let child_set (r : Encoding.row) =
-    Option.value (Imap.find_opt (cell r).x_id snap.kids) ~default:Iset.empty
+    Option.value (Btree.find_opt (cell r).x_id snap.kids) ~default:Iset.empty
   in
   let elements rs = List.filter (fun (r : Encoding.row) -> r.Encoding.kind = Element) rs in
   let parent (r : Encoding.row) =
     let c = cell r in
-    if c.x_parent < 0 then None else Some (row (Imap.find c.x_parent snap.pre_of))
+    if c.x_parent < 0 then None else Some (row (Btree.find c.x_parent snap.pre_of))
   in
   let descendants (r : Encoding.row) =
     let stop = r.Encoding.post in
@@ -436,11 +457,11 @@ let source snap : Axis_source.t =
       | Seq.Cons ((pre, c), rest) when c.x_post < stop -> row_of snap pre c :: take rest
       | _ -> []
     in
-    take (Imap.to_seq_from (r.Encoding.pre + 1) snap.plane)
+    take (Btree.to_seq_from (r.Encoding.pre + 1) snap.plane)
   in
   {
     Axis_source.all = (fun () -> rows snap);
-    root = (fun () -> let pre, c = Imap.min_binding snap.plane in row_of snap pre c);
+    root = (fun () -> let pre, c = Btree.min_binding snap.plane in row_of snap pre c);
     children = (fun r -> elements (rows_of_set (child_set r)));
     attributes =
       (fun r ->
@@ -470,7 +491,7 @@ let source snap : Axis_source.t =
             else row_of snap pre c :: take rest
           | Seq.Nil -> []
         in
-        take (skip (Imap.to_seq_from (r.Encoding.pre + 1) snap.plane)));
+        take (skip (Btree.to_seq_from (r.Encoding.pre + 1) snap.plane)));
     preceding =
       (fun r ->
         let rec take seq =
@@ -481,7 +502,7 @@ let source snap : Axis_source.t =
             else take rest
           | _ -> []
         in
-        take (Imap.to_seq snap.plane));
+        take (Btree.to_seq snap.plane));
     following_siblings =
       (fun r ->
         match parent r with
@@ -514,9 +535,26 @@ let verify t =
   let snap = t.snap in
   let enc = Encoding.of_doc t.doc in
   let dense = Encoding.rows enc in
-  let sparse = Imap.bindings snap.plane in
+  let sparse = Btree.bindings snap.plane in
   let nd = List.length dense and ns = List.length sparse in
+  (* the B+-tree invariants of every index, the rank sets included *)
+  let shape =
+    List.fold_left
+      (fun acc (what, r) ->
+        match (acc, r) with Ok (), Error e -> err "%s index: %s" what e | _ -> acc)
+      (Ok ())
+      ([
+         ("plane", Btree.check snap.plane);
+         ("pre_of", Btree.check snap.pre_of);
+         ("post_of", Btree.check snap.post_of);
+         ("kids", Btree.check snap.kids);
+       ]
+      @ Btree.fold (fun p set acc -> (Printf.sprintf "kids of %d" p, Iset.check set) :: acc)
+          snap.kids []
+      @ Smap.fold (fun name set acc -> ("name " ^ name, Iset.check set) :: acc) snap.names [])
+  in
   if nd <> ns then err "size mismatch: %d rebuilt vs %d incremental" nd ns
+  else if Result.is_error shape then shape
   else if snap.s_rev <> Tree.revision t.doc then
     err "stale snapshot: rev %d vs document rev %d" snap.s_rev (Tree.revision t.doc)
   else begin
@@ -537,21 +575,21 @@ let verify t =
       | None, p -> fail (Printf.sprintf "parent %d where rebuilt has none" p)
       | Some _, -1 -> fail "no parent where rebuilt has one"
       | Some dp, p -> (
-        match Imap.find_opt p snap.pre_of with
+        match Btree.find_opt p snap.pre_of with
         | None -> fail "parent not in pre_of"
         | Some ppre ->
           if Hashtbl.find_opt pos ppre <> Some dp then fail "parent rank order differs"));
-      (match Imap.find_opt c.x_id snap.pre_of with
+      (match Btree.find_opt c.x_id snap.pre_of with
       | Some p when p = pre -> ()
       | _ -> fail "pre_of out of sync");
-      (match Imap.find_opt c.x_post snap.post_of with
+      (match Btree.find_opt c.x_post snap.post_of with
       | Some p when p = pre -> ()
       | _ -> fail "post_of out of sync");
       (match Smap.find_opt c.x_name snap.names with
       | Some set when Iset.mem pre set -> ()
       | _ -> fail "name index out of sync");
       if c.x_parent >= 0 then
-        match Imap.find_opt c.x_parent snap.kids with
+        match Btree.find_opt c.x_parent snap.kids with
         | Some set when Iset.mem pre set -> ()
         | _ -> fail "child index out of sync"
     in

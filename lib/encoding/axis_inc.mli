@@ -14,10 +14,11 @@
     enough — is renumbered locally. The region predicates only ever compare
     ranks, so sparse ranks answer exactly the queries dense ones do.
 
-    All index state lives in persistent maps: {!snapshot} is O(1), and the
-    returned {!snap} is immutable — safe to publish through an [Atomic] and
-    read from any domain while the writer keeps mutating, which is how both
-    server cores serve queries without parking readers. *)
+    All index state lives in persistent B+-trees ({!Btree}): {!snapshot}
+    is O(1), and the returned {!snap} is immutable — safe to publish
+    through an [Atomic] and read from any domain while the writer keeps
+    mutating, which is how both server cores serve queries without parking
+    readers. *)
 
 type t
 
@@ -54,8 +55,8 @@ val source : snap -> Axis_source.t
 val verify : t -> (unit, string) result
 (** Diffs the live index against a fresh {!Encoding.of_doc} rebuild:
     order-isomorphic pre/post ranks, and identical kinds, names, values,
-    levels, parent links and auxiliary indexes. [Error] names the first
-    divergence. The [--paranoid] servers and the test suite run this after
+    levels, parent links and auxiliary indexes, and the B+-tree invariants
+    of every index. [Error] names the first divergence. The [--paranoid] servers and the test suite run this after
     every operation. *)
 
 (** {1 Maintenance accounting} *)

@@ -482,16 +482,26 @@ let compare_values c a b =
   | Gt -> num_cmp ( > )
   | Ge -> num_cmp ( >= )
 
+(* Axis results usually arrive in document order already (by_name always
+   does), so one pass checks for strictly increasing pre ranks before
+   paying for the sort. *)
 let dedup_doc_order rows =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (r : row) ->
-      if Hashtbl.mem seen r.pre then false
-      else begin
-        Hashtbl.replace seen r.pre ();
-        true
-      end)
-    (List.sort (fun (a : row) b -> Int.compare a.pre b.pre) rows)
+  let rec increasing = function
+    | (a : row) :: (b :: _ as rest) -> a.pre < b.pre && increasing rest
+    | _ -> true
+  in
+  if increasing rows then rows
+  else begin
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun (r : row) ->
+        if Hashtbl.mem seen r.pre then false
+        else begin
+          Hashtbl.replace seen r.pre ();
+          true
+        end)
+      (List.sort (fun (a : row) b -> Int.compare a.pre b.pre) rows)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Path optimisation                                                   *)

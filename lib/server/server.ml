@@ -941,6 +941,12 @@ let shed t conn d ~cls t0 =
     respond t conn ~doc:d.d_name cls t0 (P.Err (P.Overloaded, why));
     true
 
+(* Whether every earlier reply of [conn] has been sent, so a reply may go
+   out now without overtaking one. An empty parked queue is not enough: a
+   reply the flusher has popped stays unsent until [deliver], which
+   decrements [c_parked] only after the send. *)
+let owes_nothing t conn = Mutex.protect t.f_mu (fun () -> conn.c_parked = 0)
+
 (* The mutation path — updates and migration batches share it verbatim:
    validate + apply + journal-append under the doc lock, then either
    acknowledge immediately (the batch is already inside the durable
@@ -969,10 +975,7 @@ let job_mutation t conn d ~cls ~client ~seq ~nreq exec t0 =
       let ok = match resp with P.Err _ -> false | _ -> true in
       record t ~doc:d.d_name cls ~ok ~ns:(ns_since t0);
       let durable = Journal.durable_position j in
-      let clear =
-        Journal.covers ~durable e.de_pos
-        && Mutex.protect t.f_mu (fun () -> Queue.is_empty d.d_parked)
-      in
+      let clear = Journal.covers ~durable e.de_pos && owes_nothing t conn in
       if clear then send_resp t conn resp else park ~pos:e.de_pos t d conn resp
     | Some e when dedup && seq < e.de_seq ->
       respond t conn ~doc:d.d_name cls t0
@@ -1018,18 +1021,14 @@ let job_mutation t conn d ~cls ~client ~seq ~nreq exec t0 =
       publish d;
       let ok = match resp with P.Err _ -> false | _ -> true in
       record t ~doc:d.d_name cls ~ok ~ns:(ns_since t0);
-      (if delta = 0 then send_resp t conn resp
-       else begin
-         let durable = Journal.durable_position j in
-         let pos = Journal.position j in
-         (* even a durable batch must park behind earlier parked replies of
-            the same connection, or pipelined acks would reorder *)
-         let clear =
-           Journal.covers ~durable pos
-           && Mutex.protect t.f_mu (fun () -> Queue.is_empty d.d_parked)
-         in
-         if clear then send_resp t conn resp else park t d conn resp
-       end);
+      (* even a durable batch, or one that journaled nothing, must park
+         behind earlier parked replies of the same connection, or
+         pipelined acks would reorder *)
+      let durable = Journal.durable_position j in
+      let clear =
+        (delta = 0 || Journal.covers ~durable (Journal.position j)) && owes_nothing t conn
+      in
+      if clear then send_resp t conn resp else park t d conn resp;
       if auto_ckpt_due t d then
         Mutex.protect t.f_mu (fun () ->
             enroll t d;

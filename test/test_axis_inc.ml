@@ -97,10 +97,15 @@ let snapshot_queries_agree () =
   done;
   Axis_inc.detach inc
 
-(* A snapshot taken before a mutation must not see it (persistent maps,
-   the lock-free publication story of both server cores). *)
+(* A snapshot taken before a mutation must not see it (persistent
+   indexes, the lock-free publication story of both server cores). The
+   document spans many leaves, so updates copy inner nodes as well. *)
 let snapshots_are_immutable () =
-  let session = Core.Session.make (module Repro_schemes.Qed : Core.Scheme.S) (base_doc 7) in
+  let session =
+    Core.Session.make
+      (module Repro_schemes.Qed : Core.Scheme.S)
+      (Docgen.generate ~seed:7 { Docgen.default_shape with target_nodes = 1000 })
+  in
   let doc = session.Core.Session.doc in
   let inc = Axis_inc.create doc in
   let before = Axis_inc.snapshot inc in
@@ -128,6 +133,95 @@ let detach_stops_maintenance () =
   | Ok () -> Alcotest.fail "detached index still tracked the document"
   | Error _ -> ()
 
+(* The index on a document that spans hundreds of leaves, under a storm
+   that splits and merges them and exhausts rank gaps: mixed inserts and
+   deletes, a run of inserts behind one anchor (each halves the same gap
+   until a window is renumbered), whole-fragment bursts, then deletion of
+   all but 150 nodes one at a time, which
+   merges leaves and collapses the trees' inner levels. *)
+let storm_on_a_large_document () =
+  let doc = Docgen.generate ~seed:5 { Docgen.default_shape with target_nodes = 3000 } in
+  let session = Core.Session.make (module Repro_schemes.Qed : Core.Scheme.S) doc in
+  let inc = Axis_inc.create doc in
+  let ops = ref 0 in
+  let verify () =
+    match Axis_inc.verify inc with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "diverged after op %d: %s" !ops msg
+  in
+  verify ();
+  List.iter
+    (fun (pattern, n, seed) ->
+      let d = Updates.start pattern ~seed session in
+      for _ = 1 to n do
+        Updates.step d;
+        incr ops;
+        if !ops mod 25 = 0 then verify ()
+      done;
+      verify ())
+    [
+      (Updates.Mixed_with_deletes, 600, 1);
+      (Updates.Skewed_after_anchor, 300, 2);
+      (Updates.Subtree_bursts, 100, 3);
+      (Updates.Skewed_before_first, 200, 4);
+      (Updates.Mixed_with_deletes, 600, 5);
+    ];
+  let peak = Axis_inc.size (Axis_inc.snapshot inc) in
+  Alcotest.(check bool) (Printf.sprintf "the storm kept %d nodes indexed" peak) true (peak >= 3000);
+  Alcotest.(check bool) "rank gaps ran out and windows were renumbered" true
+    ((Axis_inc.stats inc).Axis_inc.renumbered > 0);
+  (* in reverse document order each deletion removes one childless node;
+     the document element comes last and is never reached *)
+  List.iter
+    (fun (n : Repro_xml.Tree.node) ->
+      if Repro_xml.Tree.size doc > 150 then begin
+        session.Core.Session.delete n;
+        incr ops;
+        if !ops mod 25 = 0 then verify ()
+      end)
+    (List.rev (Repro_xml.Tree.preorder doc));
+  verify ();
+  Alcotest.(check bool) "the document shrank to a few nodes" true
+    (Axis_inc.size (Axis_inc.snapshot inc) = 150);
+  Axis_inc.detach inc
+
+(* What the served index costs on the benchmark's 8,000-node document,
+   counted as the words a snapshot adds to the tree it indexes (names and
+   values are the tree's own strings), and what one insert adds to the
+   old and new snapshots together: only the copied root-to-leaf paths. *)
+let footprint () =
+  let doc = Docgen.generate ~seed:7920 { Docgen.default_shape with target_nodes = 8000 } in
+  let inc = Axis_inc.create doc in
+  let old_snap = Axis_inc.snapshot inc in
+  let anchor =
+    List.find
+      (fun (n : Repro_xml.Tree.node) ->
+        n.Repro_xml.Tree.kind = Repro_xml.Tree.Element && Repro_xml.Tree.level n = 3)
+      (List.filteri (fun i _ -> i >= 4000) (Repro_xml.Tree.preorder doc))
+  in
+  ignore (Repro_xml.Tree.insert_after doc anchor (Repro_xml.Tree.elt "probe" []));
+  let new_snap = Axis_inc.snapshot inc in
+  (* the observer would make the tree reach the index *)
+  Axis_inc.detach inc;
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let nodes = Axis_inc.size old_snap in
+  let bytes_per_node =
+    float_of_int ((words (doc, old_snap) - words doc) * (Sys.word_size / 8))
+    /. float_of_int nodes
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d-node snapshot costs %.1f B/node (at most 160)" nodes bytes_per_node)
+    true (bytes_per_node <= 160.);
+  (* five indexes plus a name set and a child set, each copying at most
+     three levels (an 8,000-entry tree with nodes at least half full is
+     at most two inner levels deep), each level at most two nodes of two
+     arrays of [width + 1] words when it splits *)
+  let bound = 7 * 3 * 2 * ((2 * (Btree.width + 1)) + 3) in
+  let added = words (doc, old_snap, new_snap) - words (doc, old_snap) in
+  Alcotest.(check bool)
+    (Printf.sprintf "one insert adds %d words (at most %d)" added bound)
+    true (added <= bound)
+
 let suite =
   [
     ( "incremental index equals full rebuild after every op (all schemes)",
@@ -136,4 +230,6 @@ let suite =
     ("snapshot queries agree with scan and dense engines", `Slow, snapshot_queries_agree);
     ("snapshots are immutable under further mutation", `Quick, snapshots_are_immutable);
     ("detach stops maintenance", `Quick, detach_stops_maintenance);
+    ("storm on a 3,000-node document", `Slow, storm_on_a_large_document);
+    ("snapshot footprint on an 8,000-node document", `Quick, footprint);
   ]

@@ -564,6 +564,85 @@ let abort_mid_batch_serves_acked_prefix () =
     images;
   rm_rf root
 
+(* Replies to mutations pipelined on one connection come back in the
+   order they were sent. Each is the reply an offline replay of the same
+   operations through Journal.Resolver predicts: the fresh label of its
+   own insert, or a refusal. A durable mutation, or one that journaled
+   nothing, may be answered at once only when its connection owes no
+   earlier reply; one that checked the document's parked queue instead
+   could overtake a reply the flusher had popped but not yet sent. *)
+let pipelined_mutation_replies_in_order () =
+  let root = fresh_root () in
+  let t = Server.start (Server.default_config ~root) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop t);
+      rm_rf root)
+    (fun () ->
+      let nodes = 40 and seed = 11 in
+      let o = with_client t (fun c -> open_doc ~nodes ~seed c ~doc:"ordered" ~scheme:"QED") in
+      let root_l = { Oplog.l_bytes = o.o_root.P.l_bytes; l_bits = o.o_root.P.l_bits } in
+      let count = 2_000 in
+      (* every 10th op names no node: refused, it journals nothing *)
+      let stray = { Oplog.l_bytes = "\255\255\255\255"; l_bits = 32 } in
+      let ops =
+        Array.init count (fun k ->
+            if k mod 10 = 9 then Oplog.Rename (stray, "never")
+            else Oplog.Insert_last (root_l, Tree.elt (Printf.sprintf "p%d" k) []))
+      in
+      let session =
+        Core.Session.make
+          (Option.get (Repro_schemes.Registry.find "QED"))
+          (Repro_workload.Docgen.generate ~seed
+             { Repro_workload.Docgen.default_shape with target_nodes = nodes })
+      in
+      let resolver = Journal.Resolver.create session in
+      (* the fresh label of each insert, None for each refused op *)
+      let expected =
+        Array.map
+          (function
+            | Oplog.Rename _ -> None
+            | op -> (
+              match Journal.Resolver.apply resolver op with
+              | Some n ->
+                let l_bytes, l_bits = session.Core.Session.label_encoded n in
+                Some { P.l_bytes; l_bits }
+              | None -> Alcotest.fail "replayed insert returned no node"))
+          ops
+      in
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port t));
+          let reader = Repro_server.Wire.reader Repro_io.Io.real_sock fd in
+          let frame op =
+            Bytes.of_string
+              (Repro_server.Wire.frame
+                 (P.encode_req
+                    (P.Update { u_doc = "ordered"; u_client = ""; u_seq = 0; u_ops = [ op ] })))
+          in
+          let rec send b off =
+            if off < Bytes.length b then send b (off + Unix.write fd b off (Bytes.length b - off))
+          in
+          let writer = Thread.create (fun () -> Array.iter (fun op -> send (frame op) 0) ops) () in
+          Array.iteri
+            (fun i want ->
+              match Repro_server.Wire.recv_frame reader with
+              | Repro_server.Wire.Frame payload -> (
+                match (P.decode_resp payload, want) with
+                | Ok (P.Updated { up_fresh = [ got ]; _ }), Some want ->
+                  if got <> want then
+                    Alcotest.failf "reply %d of %d answers request %d" i count
+                      (Option.value (Array.find_index (( = ) (Some got)) expected) ~default:(-1))
+                | Ok (P.Err _), None -> ()
+                | Ok (P.Err _), Some _ -> Alcotest.failf "reply %d: a refusal overtook an insert" i
+                | _, None -> Alcotest.failf "reply %d: expected the refusal of a stray label" i
+                | _, Some _ -> Alcotest.failf "reply %d: expected one fresh label" i)
+              | _ -> Alcotest.failf "reply %d: connection ended" i)
+            expected;
+          Thread.join writer))
+
 (* The contended mix: several clients share a small set of documents, so
    one flusher cycle commits appends from many connections at once. A
    seeded end-to-end soak — zero errors, and the group-commit gauges are
@@ -726,6 +805,8 @@ let suite =
     Alcotest.test_case "abort mid-batch serves the acked prefix" `Quick
       abort_mid_batch_serves_acked_prefix;
     Alcotest.test_case "shared-document soak, zero errors" `Slow shared_docs_soak;
+    Alcotest.test_case "pipelined mutation replies in order" `Quick
+      pipelined_mutation_replies_in_order;
     Alcotest.test_case "paranoid query soak, event core" `Slow
       (paranoid_query_soak ~legacy:false);
     Alcotest.test_case "paranoid query soak, legacy core" `Slow
